@@ -64,23 +64,21 @@ impl BitVec {
     #[inline]
     pub fn get_bits(&self, i: usize, n: usize) -> u64 {
         debug_assert!(n <= 64);
-        let mut out = 0u64;
-        for k in 0..n {
-            let idx = i + k;
-            if idx < self.len && self.get(idx) {
-                out |= 1 << k;
-            }
+        if i >= self.len {
+            return 0;
         }
-        out
+        self.load(i, n.min(self.len - i))
     }
 
     /// Store the low `n` bits of `v` starting at bit `i`.
     #[inline]
     pub fn set_bits(&mut self, i: usize, n: usize, v: u64) {
         debug_assert!(n <= 64);
-        for k in 0..n {
-            self.set(i + k, (v >> k) & 1 == 1);
+        if n == 0 {
+            return;
         }
+        self.check_range(i, n);
+        self.store(i, n, v);
     }
 
     /// Number of set bits.
@@ -88,21 +86,14 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Copy a bit range `[src_start, src_start+n)` from `src` into
-    /// `[dst_start, dst_start+n)` of `self`.
-    pub fn copy_range_from(&mut self, dst_start: usize, src: &BitVec, src_start: usize, n: usize) {
-        for k in 0..n {
-            self.set(dst_start + k, src.get(src_start + k));
-        }
-    }
-
     /// Serialize a bit range into bytes, LSB-first within each byte.
     pub fn range_to_bytes(&self, start: usize, n: usize) -> Vec<u8> {
+        self.check_range(start, n);
         let mut out = vec![0u8; n.div_ceil(8)];
-        for k in 0..n {
-            if self.get(start + k) {
-                out[k / 8] |= 1 << (k % 8);
-            }
+        for (c, chunk) in out.chunks_mut(8).enumerate() {
+            let k = c * 64;
+            let word = self.load(start + k, (n - k).min(64));
+            chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
         }
         out
     }
@@ -110,16 +101,78 @@ impl BitVec {
     /// Overwrite a bit range from bytes, LSB-first within each byte.
     pub fn range_from_bytes(&mut self, start: usize, n: usize, bytes: &[u8]) {
         assert!(bytes.len() * 8 >= n, "byte slice too short for {n} bits");
-        for k in 0..n {
-            self.set(start + k, (bytes[k / 8] >> (k % 8)) & 1 == 1);
+        self.check_range(start, n);
+        for (c, chunk) in bytes[..n.div_ceil(8)].chunks(8).enumerate() {
+            let k = c * 64;
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            self.store(start + k, (n - k).min(64), u64::from_le_bytes(le));
         }
     }
 
     /// Indices of bits that differ between `self` and `other` within a range.
     pub fn diff_range(&self, other: &BitVec, start: usize, n: usize) -> Vec<usize> {
-        (start..start + n)
-            .filter(|&i| self.get(i) != other.get(i))
-            .collect()
+        self.check_range(start, n);
+        other.check_range(start, n);
+        let mut out = Vec::new();
+        for k in (0..n).step_by(64) {
+            let m = (n - k).min(64);
+            let mut x = self.load(start + k, m) ^ other.load(start + k, m);
+            while x != 0 {
+                out.push(start + k + x.trailing_zeros() as usize);
+                x &= x - 1;
+            }
+        }
+        out
+    }
+
+    /// Panics unless `[start, start + n)` lies inside the vector (an empty
+    /// range always passes, as it touches no bit).
+    #[inline]
+    fn check_range(&self, start: usize, n: usize) {
+        assert!(
+            n == 0 || start + n <= self.len,
+            "bit range {start}..{} out of range {}",
+            start + n,
+            self.len
+        );
+    }
+
+    /// The `n` (0..=64) bits at `i..i + n`, gathered from at most two
+    /// words. The range must lie inside the vector.
+    #[inline]
+    fn load(&self, i: usize, n: usize) -> u64 {
+        let (w, s) = (i / 64, i % 64);
+        let mut v = self.words[w] >> s;
+        if s + n > 64 {
+            v |= self.words[w + 1] << (64 - s);
+        }
+        v & low_mask(n)
+    }
+
+    /// Overwrite bits `i..i + n` (n in 1..=64) with the low `n` bits of
+    /// `v`, touching at most two words. The range must lie inside the
+    /// vector.
+    #[inline]
+    fn store(&mut self, i: usize, n: usize, v: u64) {
+        let (w, s) = (i / 64, i % 64);
+        let v = v & low_mask(n);
+        let m = low_mask(n) << s;
+        self.words[w] = (self.words[w] & !m) | (v << s);
+        if s + n > 64 {
+            let m = low_mask(s + n - 64);
+            self.words[w + 1] = (self.words[w + 1] & !m) | (v >> (64 - s));
+        }
+    }
+}
+
+/// A word with its low `n` (0..=64) bits set.
+#[inline]
+fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -176,5 +229,135 @@ mod tests {
     fn bits_past_end_read_zero() {
         let bv = BitVec::zeros(10);
         assert_eq!(bv.get_bits(8, 8), 0);
+    }
+}
+
+/// Bit-at-a-time reference bodies of the word kernels, kept only as test
+/// oracles: each property below drives a kernel and its oracle with the
+/// same random vector and range.
+#[cfg(test)]
+mod oracle {
+    use super::BitVec;
+    use proptest::prelude::*;
+
+    fn get_bits(bv: &BitVec, i: usize, n: usize) -> u64 {
+        let mut out = 0u64;
+        for k in 0..n {
+            let idx = i + k;
+            if idx < bv.len() && bv.get(idx) {
+                out |= 1 << k;
+            }
+        }
+        out
+    }
+
+    fn set_bits(bv: &mut BitVec, i: usize, n: usize, v: u64) {
+        for k in 0..n {
+            bv.set(i + k, (v >> k) & 1 == 1);
+        }
+    }
+
+    fn range_to_bytes(bv: &BitVec, start: usize, n: usize) -> Vec<u8> {
+        let mut out = vec![0u8; n.div_ceil(8)];
+        for k in 0..n {
+            if bv.get(start + k) {
+                out[k / 8] |= 1 << (k % 8);
+            }
+        }
+        out
+    }
+
+    fn range_from_bytes(bv: &mut BitVec, start: usize, n: usize, bytes: &[u8]) {
+        for k in 0..n {
+            bv.set(start + k, (bytes[k / 8] >> (k % 8)) & 1 == 1);
+        }
+    }
+
+    fn diff_range(a: &BitVec, b: &BitVec, start: usize, n: usize) -> Vec<usize> {
+        (start..start + n)
+            .filter(|&i| a.get(i) != b.get(i))
+            .collect()
+    }
+
+    /// A vector of `len` bits filled from `seed` (splitmix64 words).
+    fn random_bits(len: usize, seed: u64) -> BitVec {
+        let mut bv = BitVec::zeros(len);
+        let mut s = seed;
+        for i in (0..len).step_by(64) {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let n = (len - i).min(64);
+            set_bits(&mut bv, i, n, z);
+        }
+        bv
+    }
+
+    /// A range inside `0..len` from two raw draws. One case in four ends
+    /// exactly at `len`, the rest start and end anywhere, so ranges cross
+    /// word boundaries at every alignment.
+    fn range_in(len: usize, a: usize, b: usize) -> (usize, usize) {
+        let start = a % (len + 1);
+        let n = if b % 4 == 0 {
+            len - start
+        } else {
+            b % (len - start + 1)
+        };
+        (start, n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn get_bits_matches_oracle(len in 1usize..400, seed: u64, i in 0usize..420, n in 0usize..65) {
+            let bv = random_bits(len, seed);
+            prop_assert_eq!(bv.get_bits(i, n), get_bits(&bv, i, n), "len {} at {}+{}", len, i, n);
+        }
+
+        #[test]
+        fn set_bits_matches_oracle(len in 1usize..400, seed: u64, a: usize, n in 0usize..65, v: u64) {
+            let start = a % len;
+            let n = n.min(len - start);
+            let mut fast = random_bits(len, seed);
+            let mut slow = fast.clone();
+            fast.set_bits(start, n, v);
+            set_bits(&mut slow, start, n, v);
+            prop_assert_eq!(fast, slow, "len {} at {}+{}", len, start, n);
+        }
+
+        #[test]
+        fn range_to_bytes_matches_oracle(len in 1usize..700, seed: u64, a: usize, b: usize) {
+            let bv = random_bits(len, seed);
+            let (start, n) = range_in(len, a, b);
+            prop_assert_eq!(bv.range_to_bytes(start, n), range_to_bytes(&bv, start, n));
+        }
+
+        #[test]
+        fn range_from_bytes_matches_oracle(len in 1usize..700, seed: u64, a: usize, b: usize, pad in 0usize..3) {
+            let (start, n) = range_in(len, a, b);
+            // Random bytes, possibly longer than the range needs; only the
+            // first `n` bits may land.
+            let bytes = random_bits(n.div_ceil(8) * 8 + pad * 8, seed ^ 0x5A5A)
+                .range_to_bytes(0, n.div_ceil(8) * 8 + pad * 8);
+            let mut fast = random_bits(len, seed);
+            let mut slow = fast.clone();
+            fast.range_from_bytes(start, n, &bytes);
+            range_from_bytes(&mut slow, start, n, &bytes);
+            prop_assert_eq!(fast, slow, "len {} at {}+{}", len, start, n);
+        }
+
+        #[test]
+        fn diff_range_matches_oracle(len in 1usize..700, seed: u64, flips in proptest::collection::vec(any::<usize>(), 0..12), a: usize, b: usize) {
+            let x = random_bits(len, seed);
+            let mut y = x.clone();
+            for f in flips {
+                y.flip(f % len);
+            }
+            let (start, n) = range_in(len, a, b);
+            prop_assert_eq!(x.diff_range(&y, start, n), diff_range(&x, &y, start, n));
+        }
     }
 }

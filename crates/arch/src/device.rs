@@ -78,6 +78,20 @@ pub struct Device {
     /// and cannot carry a telemetry handle.
     pub(crate) port_faults: PortFaultStats,
     pub(crate) compiled: Option<Compiled>,
+    /// Readback-hazard index: per CLB column, that column's dynamic
+    /// (RAM/SRL16) LUTs, derived from configuration the first time a
+    /// readback of the column needs them (see
+    /// [`Device::dynamic_luts_in_column`]). Like `compiled` it is a cache
+    /// of configuration, and it is dropped at the same points.
+    pub(crate) dynamic_luts: Vec<Option<Vec<DynamicLut>>>,
+}
+
+/// A LUT in RAM or SRL16 mode: its `row` in the column and its index
+/// `slice * 2 + lut` within the tile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DynamicLut {
+    pub(crate) row: u32,
+    pub(crate) lut: u8,
 }
 
 impl Clone for Device {
@@ -101,8 +115,10 @@ impl Clone for Device {
             write_faults: self.write_faults.clone(),
             port_wedged: self.port_wedged,
             port_faults: self.port_faults,
-            // The compiled network is a cache; rebuild lazily in the clone.
+            // The compiled network and the hazard index are caches;
+            // rebuild lazily in the clone.
             compiled: None,
+            dynamic_luts: Vec::new(),
         }
     }
 }
@@ -130,6 +146,7 @@ impl Device {
             port_wedged: false,
             port_faults: PortFaultStats::default(),
             compiled: None,
+            dynamic_luts: Vec::new(),
             config,
             geom,
         }
@@ -148,7 +165,7 @@ impl Device {
     /// network — use the frame-level [`crate::selectmap`] operations to
     /// model real configuration-port traffic.
     pub fn config_mut(&mut self) -> &mut ConfigMemory {
-        self.compiled = None;
+        self.invalidate();
         &mut self.config
     }
 
@@ -161,6 +178,12 @@ impl Device {
     /// Cycles executed since the last full configuration.
     pub fn cycles(&self) -> u64 {
         self.cycles
+    }
+
+    /// The deterministic counter that picks which table bit each
+    /// readback hazard corrupts; it advances once per corrupted LUT.
+    pub fn hazard_counter(&self) -> u64 {
+        self.hazard_counter
     }
 
     /// True if the running design has written configuration memory
@@ -422,9 +445,11 @@ impl Device {
         }
     }
 
-    /// Invalidate the compiled network (configuration changed).
+    /// Drop every cache derived from configuration memory — the compiled
+    /// network and the readback-hazard index (configuration changed).
     pub(crate) fn invalidate(&mut self) {
         self.compiled = None;
+        self.dynamic_luts.clear();
     }
 
     /// Statistics about the compiled network (for tests and reports).

@@ -16,11 +16,13 @@
 //!   steals its address lines for a couple of cycles.
 //! * Readback of an unprogrammed device returns garbage.
 
-use crate::bits::{ff_init_offset, LutMode};
+use std::sync::OnceLock;
+
+use crate::bits::{ff_init_offset, v1_pos_of_off, v2_pos_of_off, LutMode};
 use crate::bits::{lut_mode_offset, lut_table_offset, FRAMES_PER_CLB_COL, TILE_BITS_PER_FRAME};
-use crate::device::{Bitstream, Device};
+use crate::device::{Bitstream, Device, DynamicLut};
 use crate::frames::{BlockType, FrameAddr, BRAM_CONTENT_SUBFRAMES};
-use crate::geometry::Tile;
+use crate::geometry::{FrameLayout, Tile};
 use crate::time::SimDuration;
 
 /// Configuration-port cost model.
@@ -214,6 +216,8 @@ impl Device {
 
         let new_val = self.config.flip_bit(global);
         if self.compiled.is_none() {
+            // Nothing compiled to patch, but the bit may be a LUT mode.
+            self.dynamic_luts.clear();
             return;
         }
         enum Patch {
@@ -263,39 +267,64 @@ impl Device {
         }
     }
 
+    /// The §II-C LUT-RAM hazard: every dynamic LUT of the column with a
+    /// truth-table bit in frame `addr` gets one table bit flipped, in
+    /// (slice, lut, row) order, the bit chosen by the hazard counter.
     fn corrupt_dynamic_luts_in_frame(&mut self, addr: FrameAddr) {
+        let luts_here = table_luts_by_minor(self.geom.layout)[addr.minor as usize];
+        if luts_here == 0 {
+            return;
+        }
         let col = addr.major as usize;
-        let minor = addr.minor as usize;
+        let dynamic = self.dynamic_luts_in_column(col);
         let mut corrupted = false;
-        for slice in 0..2 {
-            for lut in 0..2 {
-                let table_off = lut_table_offset(slice, lut, 0);
-                // Does any of this LUT's 16 table bits live in this frame?
-                let hit = (0..16)
-                    .any(|b| self.config.tile_pos(table_off + b) / TILE_BITS_PER_FRAME == minor);
-                if !hit {
-                    continue;
-                }
-                for row in 0..self.geom.rows {
-                    let tile = Tile::new(row, col);
-                    let mode = LutMode::from_bits(self.config.read_tile_field(
-                        tile,
-                        lut_mode_offset(slice, lut),
-                        2,
-                    ));
-                    if mode.is_dynamic() {
-                        let bit = (self.hazard_counter % 16) as usize;
-                        self.hazard_counter = self.hazard_counter.wrapping_add(1);
-                        let idx = self.config.tile_bit_index(tile, table_off + bit);
-                        self.config.flip_bit(idx);
-                        corrupted = true;
-                    }
-                }
+        for &DynamicLut { row, lut } in &dynamic {
+            if luts_here & (1 << lut) == 0 {
+                continue;
             }
+            let bit = (self.hazard_counter % 16) as usize;
+            self.hazard_counter = self.hazard_counter.wrapping_add(1);
+            let off = lut_table_offset(lut as usize / 2, lut as usize % 2, bit);
+            let idx = self
+                .config
+                .tile_bit_index(Tile::new(row as usize, col), off);
+            self.config.flip_bit(idx);
+            corrupted = true;
         }
         if corrupted {
             self.invalidate();
+        } else {
+            self.dynamic_luts[col] = Some(dynamic);
         }
+    }
+
+    /// Column `col`'s dynamic LUTs in (slice, lut, row) order, taken out
+    /// of the hazard index (derived from configuration on first use since
+    /// the index was last dropped). The caller puts the entry back if
+    /// configuration has not changed.
+    fn dynamic_luts_in_column(&mut self, col: usize) -> Vec<DynamicLut> {
+        if self.dynamic_luts.is_empty() {
+            self.dynamic_luts.resize(self.geom.cols, None);
+        }
+        if let Some(cached) = self.dynamic_luts[col].take() {
+            return cached;
+        }
+        let mut dynamic = Vec::new();
+        for lut in 0..4u8 {
+            let mode_off = lut_mode_offset(lut as usize / 2, lut as usize % 2);
+            for row in 0..self.geom.rows {
+                let mode = self
+                    .config
+                    .read_tile_field(Tile::new(row, col), mode_off, 2);
+                if LutMode::from_bits(mode).is_dynamic() {
+                    dynamic.push(DynamicLut {
+                        row: row as u32,
+                        lut,
+                    });
+                }
+            }
+        }
+        dynamic
     }
 
     fn capture_ffs_into(&self, addr: FrameAddr, data: &mut [u8]) {
@@ -439,6 +468,28 @@ impl Device {
             frames.push((addr, data));
         }
         (frames, total)
+    }
+}
+
+/// For each CLB frame minor, a 4-bit mask of the LUTs (bit
+/// `slice * 2 + lut`) with a truth-table bit in that frame under `layout`.
+/// Computed once per layout.
+fn table_luts_by_minor(layout: FrameLayout) -> &'static [u8; FRAMES_PER_CLB_COL] {
+    fn build(pos_of_off: fn(usize) -> usize) -> [u8; FRAMES_PER_CLB_COL] {
+        let mut by_minor = [0u8; FRAMES_PER_CLB_COL];
+        for lut in 0..4 {
+            for bit in 0..16 {
+                let pos = pos_of_off(lut_table_offset(lut / 2, lut % 2, bit));
+                by_minor[pos / TILE_BITS_PER_FRAME] |= 1 << lut;
+            }
+        }
+        by_minor
+    }
+    static VIRTEX: OnceLock<[u8; FRAMES_PER_CLB_COL]> = OnceLock::new();
+    static VIRTEX2: OnceLock<[u8; FRAMES_PER_CLB_COL]> = OnceLock::new();
+    match layout {
+        FrameLayout::Virtex => VIRTEX.get_or_init(|| build(v1_pos_of_off)),
+        FrameLayout::Virtex2 => VIRTEX2.get_or_init(|| build(v2_pos_of_off)),
     }
 }
 

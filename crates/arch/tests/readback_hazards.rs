@@ -102,6 +102,63 @@ fn lut_ram_readback_during_operation_corrupts_contents() {
     assert_eq!(before, after, "stopped clock avoids the hazard");
 }
 
+/// The readback hazard keeps a per-column index of dynamic LUTs. Every way
+/// of changing a LUT's mode must drop it: after the change, a readback must
+/// corrupt exactly what a fresh clone (which never built the index)
+/// corrupts, with the same hazard-counter sequence.
+#[test]
+fn hazard_index_follows_every_lut_mode_change() {
+    let geom = Geometry::tiny();
+    let t = Tile::new(0, 0);
+    let mut static_bs = srl_config(&geom);
+    static_bs.write_tile_field(t, lut_mode_offset(0, 0), 2, LutMode::Logic as u64);
+    // Logic (0b00) → RAM (0b10) is one bit flip.
+    let mode_bit = static_bs.tile_bit_index(t, lut_mode_offset(0, 0) + 1);
+    let mut dynamic_bs = static_bs.clone();
+    dynamic_bs.flip_bit(mode_bit);
+    let table_minor = static_bs.tile_pos(lut_table_offset(0, 0, 0)) / TILE_BITS_PER_FRAME;
+    let table_frame = FrameAddr::clb(0, table_minor);
+
+    for how in [
+        "flip_config_bit, compiled",
+        "flip_config_bit, not compiled",
+        "partial_configure_frame",
+        "config_mut",
+    ] {
+        let mut dev = Device::new(geom.clone());
+        dev.configure_full(&static_bs);
+        dev.set_clock_running(true);
+        // No dynamic LUT yet: this readback builds the index and corrupts
+        // nothing.
+        let _ = dev.readback_frame(table_frame, ReadbackOptions::default());
+        assert_eq!(dev.config(), &static_bs, "{how}: static LUTs are safe");
+
+        match how {
+            "flip_config_bit, compiled" => {
+                dev.network_stats();
+                dev.flip_config_bit(mode_bit);
+            }
+            "flip_config_bit, not compiled" => dev.flip_config_bit(mode_bit),
+            "partial_configure_frame" => {
+                let (addr, _) = static_bs.locate(mode_bit);
+                dev.partial_configure_frame(addr, &dynamic_bs.read_frame(addr));
+            }
+            _ => {
+                dev.config_mut()
+                    .write_tile_field(t, lut_mode_offset(0, 0), 2, LutMode::Ram as u64)
+            }
+        }
+        assert_eq!(dev.config(), &dynamic_bs, "{how}: LUT now in RAM mode");
+
+        let mut fresh = dev.clone();
+        let _ = dev.readback_frame(table_frame, ReadbackOptions::default());
+        let _ = fresh.readback_frame(table_frame, ReadbackOptions::default());
+        assert_ne!(fresh.config(), &dynamic_bs, "{how}: the RAM LUT is hit");
+        assert_eq!(dev.config(), fresh.config(), "{how}: stale hazard index");
+        assert_eq!(dev.hazard_counter(), fresh.hazard_counter(), "{how}");
+    }
+}
+
 #[test]
 fn bram_content_readback_corrupts_output_register_and_locks_port() {
     let geom = Geometry::tiny();

@@ -6,9 +6,12 @@
 /// Reflected CRC-32 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables, built at compile time. `TABLES[0]` is the
+/// classic byte-at-a-time table; `TABLES[k][b]` is the register after
+/// byte `b` and then `k` zero bytes, starting from zero, so eight tables
+/// fold a whole `u64` of input per step.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,13 +24,23 @@ const fn build_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// Streaming CRC-32.
 #[derive(Debug, Clone, Copy)]
@@ -46,11 +59,25 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
+    /// Fold `data` into the running CRC, eight bytes per step.
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            let idx = ((self.state ^ b as u32) & 0xff) as usize;
-            self.state = (self.state >> 8) ^ TABLE[idx];
+        let mut crc = self.state;
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = TABLES[7][(lo & 0xff) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][c[4] as usize]
+                ^ TABLES[2][c[5] as usize]
+                ^ TABLES[1][c[6] as usize]
+                ^ TABLES[0][c[7] as usize];
         }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        self.state = crc;
     }
 
     pub fn finish(self) -> u32 {
@@ -68,6 +95,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -86,6 +114,37 @@ mod tests {
         c.update(&data[..100]);
         c.update(&data[100..]);
         assert_eq!(c.finish(), crc32(&data));
+    }
+
+    /// The byte-at-a-time reference body of [`Crc32::update`], kept only as
+    /// a test oracle.
+    fn update_oracle(state: u32, data: &[u8]) -> u32 {
+        let mut crc = state;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Slice-by-8 equals the byte-wise oracle on random lengths, fed
+        /// in random streaming pieces (so chunks straddle every split).
+        #[test]
+        fn update_matches_oracle(data in proptest::collection::vec(any::<u8>(), 0..300), cuts in proptest::collection::vec(any::<usize>(), 0..5)) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut expected = 0xFFFF_FFFF;
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                c.update(&data[at..cut]);
+                expected = update_oracle(expected, &data[at..cut]);
+                prop_assert_eq!(c.state, expected, "after bytes 0..{}", cut);
+                at = cut;
+            }
+        }
     }
 
     #[test]

@@ -24,50 +24,47 @@ pub struct CodeWord {
     pub check: u8,
 }
 
-/// Map data-bit index (0..64) to its 1-based codeword position (skipping
-/// power-of-two positions, which hold check bits).
-fn data_position(i: usize) -> usize {
-    // Positions 1..=71, skipping 1, 2, 4, 8, 16, 32, 64.
+/// 1-based codeword positions of the 64 data bits: 3..=71, skipping the
+/// power-of-two positions, which hold check bits. Built at compile time.
+const POSITIONS: [usize; 64] = {
+    let mut p = [0usize; 64];
     let mut pos = 0usize;
-    let mut seen = 0usize;
-    while seen <= i {
+    let mut i = 0;
+    while i < 64 {
         pos += 1;
         if !pos.is_power_of_two() {
-            seen += 1;
+            p[i] = pos;
+            i += 1;
         }
     }
-    pos
-}
+    p
+};
 
-/// Precomputed positions for the 64 data bits.
-fn positions() -> &'static [usize; 64] {
-    use std::sync::OnceLock;
-    static POS: OnceLock<[usize; 64]> = OnceLock::new();
-    POS.get_or_init(|| {
-        let mut p = [0usize; 64];
-        for (i, slot) in p.iter_mut().enumerate() {
-            *slot = data_position(i);
+/// `PARITY_MASKS[c]` selects the data bits whose codeword position has bit
+/// `c` set — the bits Hamming check bit `c` covers.
+const PARITY_MASKS: [u64; 7] = {
+    let mut masks = [0u64; 7];
+    let mut i = 0;
+    while i < 64 {
+        let mut c = 0;
+        while c < 7 {
+            if POSITIONS[i] & (1 << c) != 0 {
+                masks[c] |= 1 << i;
+            }
+            c += 1;
         }
-        p
-    })
-}
+        i += 1;
+    }
+    masks
+};
 
 /// Encode 64 data bits into a SECDED codeword.
 pub fn encode(data: u64) -> CodeWord {
-    let pos = positions();
-    // Hamming check bits p1..p64 (7 of them).
+    // Hamming check bits p1..p64 (7 of them): each is the parity of the
+    // data bits it covers.
     let mut check = 0u8;
-    for c in 0..7 {
-        let mask = 1usize << c;
-        let mut parity = false;
-        for (i, &p) in pos.iter().enumerate() {
-            if p & mask != 0 && (data >> i) & 1 == 1 {
-                parity = !parity;
-            }
-        }
-        if parity {
-            check |= 1 << c;
-        }
+    for (c, mask) in PARITY_MASKS.iter().enumerate() {
+        check |= (((data & mask).count_ones() & 1) as u8) << c;
     }
     // Overall parity over data + the 7 check bits.
     let overall = (data.count_ones() + u32::from(check).count_ones()) & 1 == 1;
@@ -80,7 +77,6 @@ pub fn encode(data: u64) -> CodeWord {
 /// Decode a codeword, correcting a single-bit error if present. Returns
 /// the (possibly corrected) data and the outcome.
 pub fn decode(word: CodeWord) -> (u64, EccOutcome) {
-    let pos = positions();
     let recomputed = encode(word.data);
     let syndrome = (recomputed.check ^ word.check) & 0x7f;
     // Overall parity of *all received bits* (data + 7 check bits + parity
@@ -106,7 +102,7 @@ pub fn decode(word: CodeWord) -> (u64, EccOutcome) {
         // A check bit flipped; data is intact.
         return (word.data, EccOutcome::Corrected);
     }
-    if let Some(i) = pos.iter().position(|&q| q == p) {
+    if let Some(i) = POSITIONS.iter().position(|&q| q == p) {
         return (word.data ^ (1u64 << i), EccOutcome::Corrected);
     }
     (word.data, EccOutcome::Uncorrectable)
@@ -115,6 +111,39 @@ pub fn decode(word: CodeWord) -> (u64, EccOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-at-a-time reference body of [`encode`], kept only as a test
+    /// oracle.
+    fn encode_oracle(data: u64) -> CodeWord {
+        let mut check = 0u8;
+        for c in 0..7 {
+            let mask = 1usize << c;
+            let mut parity = false;
+            for (i, &p) in POSITIONS.iter().enumerate() {
+                if p & mask != 0 && (data >> i) & 1 == 1 {
+                    parity = !parity;
+                }
+            }
+            if parity {
+                check |= 1 << c;
+            }
+        }
+        let overall = (data.count_ones() + u32::from(check).count_ones()) & 1 == 1;
+        if overall {
+            check |= 0x80;
+        }
+        CodeWord { data, check }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn encode_matches_oracle(data: u64) {
+            prop_assert_eq!(encode(data), encode_oracle(data));
+        }
+    }
 
     fn sample_words() -> Vec<u64> {
         vec![
@@ -191,9 +220,8 @@ mod tests {
 
     #[test]
     fn data_positions_are_distinct_non_powers() {
-        let pos = positions();
         let mut seen = std::collections::HashSet::new();
-        for &p in pos.iter() {
+        for &p in POSITIONS.iter() {
             assert!(!p.is_power_of_two(), "data at check position {p}");
             assert!((3..=71).contains(&p));
             assert!(seen.insert(p));

@@ -29,37 +29,59 @@ pub struct CrcCodebook {
     masked: Vec<bool>,
     /// CRC over `crcs` + `masked` — the book's own integrity check.
     meta_crc: u32,
+    /// Unmasked frames per block type, in frame order — all a scan's
+    /// cost depends on, so [`FaultManager::scan_cost`] need not walk the
+    /// frames.
+    unmasked_by_block: Vec<(BlockType, u64)>,
 }
 
 impl CrcCodebook {
     /// Build a codebook from a golden image, masking `masked_frames`
     /// (dense frame indices).
     pub fn new(golden: &Bitstream, masked_frames: &HashSet<usize>) -> Self {
-        let crcs: Vec<u32> = golden
-            .frame_addrs()
-            .map(|a| crc32(&golden.read_frame(a)))
-            .collect();
-        let masked: Vec<bool> = (0..crcs.len())
-            .map(|i| masked_frames.contains(&i))
-            .collect();
+        let mut crcs = Vec::with_capacity(golden.frame_count());
+        let mut masked = Vec::with_capacity(golden.frame_count());
+        let mut unmasked_by_block: Vec<(BlockType, u64)> = Vec::new();
+        for (fi, addr) in golden.frame_addrs().enumerate() {
+            crcs.push(crc32(&golden.read_frame(addr)));
+            let m = masked_frames.contains(&fi);
+            masked.push(m);
+            if m {
+                continue;
+            }
+            match unmasked_by_block.last_mut() {
+                Some((block, n)) if *block == addr.block => *n += 1,
+                _ => unmasked_by_block.push((addr.block, 1)),
+            }
+        }
         let meta_crc = Self::compute_meta(&crcs, &masked);
         CrcCodebook {
             crcs,
             masked,
             meta_crc,
+            unmasked_by_block,
         }
     }
 
     fn compute_meta(crcs: &[u32], masked: &[bool]) -> u32 {
-        // Streamed: self_check runs on every scrub pass, so building the
-        // byte image in a temporary Vec each time would dominate quiet
-        // rounds. Byte-for-byte identical to hashing the concatenation.
+        // Streamed eight bytes at a time: self_check runs on every scrub
+        // pass, so building the byte image in a temporary Vec each time
+        // would dominate quiet rounds. Byte-for-byte identical to hashing
+        // the concatenation of the little-endian CRCs and one byte per
+        // mask flag.
         let mut h = Crc32::new();
-        for c in crcs {
-            h.update(&c.to_le_bytes());
+        let mut buf = [0u8; 8];
+        for pair in crcs.chunks(2) {
+            for (k, c) in pair.iter().enumerate() {
+                buf[4 * k..4 * k + 4].copy_from_slice(&c.to_le_bytes());
+            }
+            h.update(&buf[..4 * pair.len()]);
         }
-        for &m in masked {
-            h.update(&[m as u8]);
+        for group in masked.chunks(8) {
+            for (b, &m) in buf.iter_mut().zip(group) {
+                *b = m as u8;
+            }
+            h.update(&buf[..group.len()]);
         }
         h.finish()
     }
@@ -102,7 +124,6 @@ impl CrcCodebook {
 pub fn masked_frames_for(golden: &Bitstream) -> HashSet<usize> {
     let geom = golden.geometry().clone();
     let mut masked = HashSet::new();
-    let mut any_bram_port_enabled = false;
 
     for col in 0..geom.cols {
         for row in 0..geom.rows {
@@ -132,7 +153,6 @@ pub fn masked_frames_for(golden: &Bitstream) -> HashSet<usize> {
         for block in 0..geom.bram_blocks_per_col() {
             let en = golden.read_bram_if_field(bc, block, cibola_arch::frames::BRAM_IF_EN_OFF, 8);
             if en != 0 {
-                any_bram_port_enabled = true;
                 for sub in 0..cibola_arch::frames::BRAM_CONTENT_SUBFRAMES {
                     masked.insert(golden.frame_index(FrameAddr {
                         block: BlockType::BramContent,
@@ -143,7 +163,6 @@ pub fn masked_frames_for(golden: &Bitstream) -> HashSet<usize> {
             }
         }
     }
-    let _ = any_bram_port_enabled;
     masked
 }
 
@@ -201,16 +220,16 @@ impl FaultManager {
     /// codebook. Readback happens while the design runs — no interruption
     /// of service.
     pub fn scan(&self, dev: &mut Device) -> ScanReport {
-        let addrs: Vec<FrameAddr> = dev.config().frame_addrs().collect();
         let mut corrupt = Vec::new();
         let mut duration = SimDuration::ZERO;
         let mut scanned = 0usize;
         let mut aborted = 0usize;
         let mut wedged = false;
-        for (fi, addr) in addrs.into_iter().enumerate() {
+        for fi in 0..dev.config().frame_count() {
             if self.codebook.is_masked(fi) {
                 continue;
             }
+            let addr = dev.config().frame_addr(fi);
             let (res, d) = dev.try_readback_frame(addr, ReadbackOptions::default());
             match res {
                 Ok(data) => {
@@ -253,14 +272,12 @@ impl FaultManager {
     /// construction, but the time still passes).
     pub fn scan_cost(&self, dev: &Device) -> SimDuration {
         let mut duration = SimDuration::ZERO;
-        for (fi, addr) in dev.config().frame_addrs().enumerate() {
-            if self.codebook.is_masked(fi) {
-                continue;
-            }
-            let bytes = dev.config().frame_bytes(addr.block) as u64;
-            duration += SimDuration::from_nanos(
+        for &(block, frames) in &self.codebook.unmasked_by_block {
+            let bytes = dev.config().frame_bytes(block) as u64;
+            let per_frame = SimDuration::from_nanos(
                 dev.port_timing.op_overhead_ns + bytes * dev.port_timing.ns_per_byte,
             ) + self.frame_overhead;
+            duration += per_frame * frames;
         }
         duration
     }

@@ -399,8 +399,7 @@ impl Payload {
         // Rung 1 — scan. A wedged port gets one power-cycle + rescan.
         let mut report = {
             let f = &mut self.boards[board].fpgas[fi];
-            let mgr = f.manager.clone();
-            mgr.scan(&mut f.device)
+            f.manager.scan(&mut f.device)
         };
         out.duration += report.duration;
         if report.aborted_frames > 0 {
@@ -423,8 +422,7 @@ impl Payload {
             self.reset_port(board, fi, now, out);
             report = {
                 let f = &mut self.boards[board].fpgas[fi];
-                let mgr = f.manager.clone();
-                mgr.scan(&mut f.device)
+                f.manager.scan(&mut f.device)
             };
             out.duration += report.duration;
             if report.wedged {
@@ -524,8 +522,7 @@ impl Payload {
         // readback) can fabricate "failed" repairs; trust a clean rescan.
         let recheck = {
             let f = &mut self.boards[board].fpgas[fi];
-            let mgr = f.manager.clone();
-            mgr.scan(&mut f.device)
+            f.manager.scan(&mut f.device)
         };
         out.duration += recheck.duration;
         self.observe_rung_latency(EscalationRung::RescanVerify, recheck.duration);
