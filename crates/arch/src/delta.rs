@@ -19,7 +19,7 @@
 //!   corrupted compile is bit-for-bit the golden one. Benign, proven.
 //! * **Read by some roots** — flip the bit in place and re-trace just
 //!   those roots read-only, resolving against *golden* node ids. Each
-//!   root that now resolves to a different source becomes a [`DeltaOp`];
+//!   root that now resolves to a different source becomes a `DeltaOp`;
 //!   the set of ops is a per-lane network edit the wide engine applies as
 //!   lane-masked source overrides. Zero ops ⇒ the corrupted network is
 //!   behaviourally the golden one ⇒ benign.

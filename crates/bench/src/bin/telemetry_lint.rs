@@ -13,12 +13,15 @@
 //! - ordering: per `(device, subsystem)` stream, *point* events carry
 //!   monotonically non-decreasing timestamps (spans like `mission.end`
 //!   cover the whole mission and are exempt);
-//! - causality: every `upset_id`/`sefi_id` reference resolves to a
-//!   `mission.upset`/`mission.sefi` origin on an **earlier** line —
-//!   dangling correlation ids fail the lint;
 //! - severity: SOH events carry exactly the severity the shared
-//!   [`SOH_EVENT_META`] table assigns them, so the downlink planner,
-//!   the lint and forensics can never disagree about what is critical.
+//!   [`SOH_EVENT_META`](cibola_telemetry::SOH_EVENT_META) table assigns
+//!   them, so the downlink planner, the lint and forensics can never
+//!   disagree about what is critical;
+//! - causality: the whole stream must go through the forensics
+//!   reconstructor ([`cibola_forensics::reconstruct`]), which rejects
+//!   duplicate origins, `upset_id`/`sefi_id` references without a
+//!   `mission.upset`/`mission.sefi` origin on an **earlier** line, and
+//!   faults left open past `mission.end`.
 //!
 //! CI runs this over the dump `orbit_mission --telemetry` produces, so a
 //! regression in any instrumented crate fails the build rather than
@@ -26,30 +29,33 @@
 //!
 //! Usage: `telemetry_lint <dump.jsonl> [--max-t-ns N]`
 //!
-//! Exits non-zero on the first malformed line, reporting its number.
+//! Exits non-zero on the first malformed line, reporting its number, and
+//! with status 1 on a usage error.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::process::ExitCode;
 
-use cibola_forensics::{IdSpace, RawEvent};
+use cibola_forensics::{reconstruct, RawEvent};
 use cibola_telemetry::{known_event_required_fields, soh_meta_for, validate_telemetry_line};
+
+const USAGE: &str = "usage: telemetry_lint <dump.jsonl> [--max-t-ns N]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(path) = args.next() else {
-        eprintln!("usage: telemetry_lint <dump.jsonl> [--max-t-ns N]");
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
     let mut max_t_ns: Option<u64> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--max-t-ns" => {
-                max_t_ns = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-t-ns needs an integer"),
-                );
-            }
+            "--max-t-ns" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(v) => max_t_ns = Some(v),
+                None => {
+                    eprintln!("--max-t-ns needs an integer\n{USAGE}");
+                    return ExitCode::FAILURE;
+                }
+            },
             other => {
                 eprintln!("unknown argument: {other}");
                 return ExitCode::FAILURE;
@@ -68,10 +74,11 @@ fn main() -> ExitCode {
     // Per-(device, subsystem) last point timestamp; None device groups
     // the global (mission-wide) stream of that subsystem.
     let mut last_point: HashMap<(Option<(u16, u16)>, String), u64> = HashMap::new();
-    // Correlation ids whose origin line has already been seen.
-    let mut origins: HashSet<(IdSpace, u64)> = HashSet::new();
+    // Decoded events and the file line each came from, for the causality
+    // pass.
+    let mut events = Vec::new();
+    let mut event_lines = Vec::new();
 
-    let mut lines = 0usize;
     for (lineno, line) in dump.lines().enumerate() {
         let lineno = lineno + 1;
         if line.is_empty() {
@@ -128,29 +135,6 @@ fn main() -> ExitCode {
             *last = ev.t_ns;
         }
 
-        // Causality: origins register their id; every other reference
-        // must land strictly after its origin line.
-        let origin_space = match ev.name.as_str() {
-            "mission.upset" => Some(IdSpace::Upset),
-            "mission.sefi" => Some(IdSpace::Sefi),
-            _ => None,
-        };
-        if let Some((space, id)) = ev.correlation() {
-            if origin_space == Some(space) {
-                if !origins.insert((space, id)) {
-                    eprintln!("{path}:{lineno}: duplicate {} origin id {id}", space.name());
-                    return ExitCode::FAILURE;
-                }
-            } else if !origins.contains(&(space, id)) {
-                eprintln!(
-                    "{path}:{lineno}: {} references dangling {} id {id}",
-                    ev.name,
-                    space.name()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-
         // Severity must come from the shared SOH table.
         if let Some(meta) = soh_meta_for(&ev.name) {
             if ev.severity != meta.severity.name() {
@@ -164,13 +148,23 @@ fn main() -> ExitCode {
             }
         }
 
-        lines += 1;
+        events.push(ev);
+        event_lines.push(lineno);
     }
 
-    if lines == 0 {
+    if events.is_empty() {
         eprintln!("{path}: no telemetry lines — instrumentation produced nothing");
         return ExitCode::FAILURE;
     }
-    println!("{path}: {lines} line(s) OK");
+    // Forensics numbers its errors by event (1-based; 0 for the stream as
+    // a whole); map them back to the dump's file line.
+    if let Err(e) = reconstruct(&events) {
+        match e.line.checked_sub(1).map(|i| event_lines[i]) {
+            Some(lineno) => eprintln!("{path}:{lineno}: {}", e.message),
+            None => eprintln!("{path}: {}", e.message),
+        }
+        return ExitCode::FAILURE;
+    }
+    println!("{path}: {} line(s) OK", events.len());
     ExitCode::SUCCESS
 }

@@ -1,16 +1,15 @@
 //! The strategy-zoo test suite.
 //!
-//! Three pillars:
+//! Two pillars:
 //!
 //! 1. **Differential** — for every strategy in the zoo, the event-driven
 //!    `run_strategy_mission` must produce `StrategyMissionStats` *exactly*
 //!    equal (`PartialEq`, float for float) to the round-ticking
 //!    `run_strategy_mission_reference`, across fixed seeds and a proptest
-//!    sweep, under SEFI/port-fault chaos.
-//! 2. **Anchor** — driving `LadderStrategy` through the strategy seam is
-//!    bit-identical to the plain `run_mission` kernel, so the refactor
-//!    provably changed nothing for the paper's baseline.
-//! 3. **Adaptive edge cases** — zero upsets (period climbs to the
+//!    sweep, under SEFI/port-fault chaos. `run_mission` is the same driver
+//!    flying `LadderStrategy`, so the ladder's chaos fixed-seed case lives
+//!    in `cibola-scrub`'s `mission_equivalence` suite.
+//! 2. **Adaptive edge cases** — zero upsets (period climbs to the
 //!    ceiling, no divide-by-zero), flare saturation (clamp plus bounded
 //!    anti-windup recovery), and deterministic voter tie-breaking under
 //!    shadow chaos.
@@ -25,7 +24,7 @@ use cibola_mitigate::{
 use cibola_netlist::{gen, implement};
 use cibola_radiation::sefi::{SefiMix, SefiRates};
 use cibola_radiation::{OrbitRates, SefiConfig};
-use cibola_scrub::{run_mission, MissionConfig, Payload};
+use cibola_scrub::{MissionConfig, Payload};
 use proptest::prelude::*;
 
 fn nine_fpga_payload(geom: &Geometry) -> Payload {
@@ -119,7 +118,7 @@ fn assert_strategy_equivalence(name: &str, cfg: &MissionConfig) {
 #[test]
 fn every_strategy_is_driver_equivalent_under_chaos() {
     for seed in [1u64, 42, u64::MAX] {
-        for name in STRATEGY_NAMES {
+        for name in STRATEGY_NAMES.into_iter().filter(|&n| n != "ladder") {
             assert_strategy_equivalence(name, &chaos_config(seed));
         }
     }
@@ -160,29 +159,6 @@ proptest! {
         let cfg = chaos_config(seed);
         assert_strategy_equivalence("voted", &cfg);
         assert_strategy_equivalence("blind", &cfg);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The anchor: ladder strategy == plain mission kernel
-// ---------------------------------------------------------------------
-
-#[test]
-fn ladder_strategy_matches_plain_mission_bit_identically() {
-    let geom = Geometry::tiny();
-    let sens = sparse_sensitivity();
-    for cfg in [chaos_config(42), quiet_config(9), chaos_config(u64::MAX)] {
-        let mut p_plain = nine_fpga_payload(&geom);
-        let mut p_strat = nine_fpga_payload(&geom);
-        let plain = run_mission(&mut p_plain, &cfg, &sens);
-        let mut ladder = LadderStrategy;
-        let strat = run_strategy_mission(&mut p_strat, &cfg, &sens, &mut ladder);
-        assert_eq!(
-            strat.mission, plain,
-            "ladder strategy diverged from run_mission (seed {})",
-            cfg.seed
-        );
-        assert_eq!(p_plain.soh.len(), p_strat.soh.len());
     }
 }
 

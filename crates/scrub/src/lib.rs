@@ -13,7 +13,12 @@
 //! * [`flash`] — the 16 MB configuration store + 1 MB EEPROM.
 //! * [`manager`] — codebook, scan, repair; masked frames for LUT-RAM/BRAM.
 //! * [`payload`] — the 3-board × 3-FPGA SEM-E assembly with SOH logging.
-//! * [`mission`] — the payload in the LEO upset environment.
+//! * [`mission`] — the payload in the LEO upset environment: one mission
+//!   driver over the shared `MissionKernel`, event-driven, with an
+//!   every-round schedule kept as the test oracle.
+//! * [`strategy`] — the [`MitigationStrategy`] seam the driver flies, and
+//!   [`LadderStrategy`], the paper's readback scrub + escalation ladder
+//!   that [`run_mission`] flies.
 //! * [`ensemble`] — parallel Monte-Carlo mission sweeps over seeds.
 
 pub mod correlate;
@@ -24,6 +29,7 @@ pub mod flash;
 pub mod manager;
 pub mod mission;
 pub mod payload;
+pub mod strategy;
 pub mod uplink;
 
 pub use cibola_telemetry::{
@@ -39,9 +45,15 @@ pub use manager::{
     dynamic_bits_for, masked_frames_for, CorruptFrame, CrcCodebook, DynamicBitMask, FaultManager,
     ScanReport,
 };
-pub use mission::{run_mission, run_mission_reference, MissionConfig, MissionKernel, MissionStats};
+pub use mission::{
+    run_mission, run_mission_reference, run_strategy_mission, run_strategy_mission_reference,
+    MissionConfig, MissionKernel, MissionStats,
+};
 pub use payload::{
     soh_event_meta, FpgaHealth, Payload, ScrubOutcome, ScrubPolicy, SohEvent, SohRecord, BOARDS,
     FPGAS_PER_BOARD,
+};
+pub use strategy::{
+    LadderStrategy, MitigationStrategy, StrategyMissionStats, StrategyStats, WindowObservation,
 };
 pub use uplink::{GroundLink, SOH_RECORD_BYTES};

@@ -10,19 +10,31 @@
 //! faults, judged against per-design sensitivity maps from the SEU
 //! simulator.
 //!
-//! Two drivers share one [`MissionKernel`]:
+//! One driver flies every mission. [`MissionKernel`] owns the
+//! environment and the accounting — upset and SEFI landing, the
+//! outstanding-fault ledger, availability integration, mission-end
+//! roll-up — and a [`MitigationStrategy`] owns the per-board repair
+//! policy. The private `drive` loop advances the kernel on one of two
+//! schedules:
 //!
-//! * [`run_mission_reference`] ticks every scan round for the whole
-//!   mission — the original loop, kept as the ground truth.
-//! * [`run_mission`] is event-driven: it advances directly between the
-//!   timestamps where observable state can change (upset arrivals, SEFI
-//!   arrivals, scan rounds with outstanding work, periodic full-reconfig
-//!   deadlines), charging the skipped rounds' `scrub_cycles` in bulk.
-//!   Because a skipped round is provably the reference loop's
-//!   charged-time-only fast path on every device (see
-//!   [`MissionKernel::device_needs_scrub`]), both drivers produce
-//!   bit-identical [`MissionStats`] for any seed — the differential test
-//!   suite asserts exactly that, float for float.
+//! * event-driven: it advances directly between the rounds where
+//!   observable state can change (upset arrivals, SEFI arrivals, a board
+//!   with outstanding work that the strategy schedules for service,
+//!   periodic full-reconfig deadlines, retune-window boundaries), charging
+//!   the skipped rounds' `scrub_cycles` and scrub bandwidth in bulk;
+//! * every round: it ticks every scan round. This schedule is the test
+//!   oracle and nothing else — [`run_mission_reference`] and
+//!   [`run_strategy_mission_reference`] exist so the differential suites
+//!   can check the event-driven schedule against it.
+//!
+//! A skipped round is provably a charged-time-only no-op on every device
+//! (the kernel's skip predicate, `device_needs_scrub`), so both schedules
+//! produce bit-identical stats for any seed, float for float.
+//!
+//! [`run_mission`] flies [`LadderStrategy`] — the paper's §II fault
+//! manager — on the event-driven schedule. [`run_strategy_mission`] flies
+//! any strategy and opens the telemetry stream with a
+//! `strategy.mission_begin` record naming it.
 
 use std::collections::{HashMap, HashSet};
 
@@ -40,6 +52,9 @@ use rand::Rng;
 
 use crate::correlate::FaultOrigin;
 use crate::payload::{soh_event_meta, Payload};
+use crate::strategy::{
+    LadderStrategy, MitigationStrategy, StrategyMissionStats, WindowObservation,
+};
 
 /// Mission parameters.
 ///
@@ -217,17 +232,15 @@ struct Outstanding {
     frame: Option<usize>,
 }
 
-/// All mission state both drivers mutate, with the original round loop
-/// factored into phase methods (`land_upsets`, `land_sefis`,
-/// `scrub_round`, `periodic_refresh`). The phases are verbatim extractions
-/// of the historical loop body, so the reference and event-driven drivers
-/// differ *only* in which rounds they visit.
+/// All mission state the driver mutates, with one scan round split into
+/// phase methods (`land_upsets`, `land_sefis`, `apply_board_outcome`,
+/// `settle_dirty`, `periodic_refresh`). The two schedules differ *only*
+/// in which rounds they visit.
 ///
-/// Public (fields private): the `cibola-mitigate` strategy drivers reuse
-/// the environment/accounting machinery — upset and SEFI landing, the
-/// outstanding-fault ledger, availability integration, mission-end
-/// roll-up — while substituting their own per-board repair action for
-/// [`Payload::scrub_board`] via [`MissionKernel::apply_board_outcome`].
+/// Public (fields private) so a profiler can replay [`run_mission`] phase
+/// by phase with a timer around each phase, as the perfbench harness
+/// does; inside the workspace the module's own driver is the only loop
+/// over it.
 pub struct MissionKernel<'a> {
     payload: &'a mut Payload,
     cfg: &'a MissionConfig,
@@ -254,8 +267,6 @@ pub struct MissionKernel<'a> {
     resolved_buf: Vec<Outstanding>,
     unavailable: SimDuration,
     last_refresh: Vec<SimTime>,
-    /// Reused per-board dirty-snapshot buffer.
-    board_dirty: Vec<bool>,
     /// Whether the device's codebook *might* fail its self-check: set by
     /// a codebook-upset SEFI, cleared once a scrub pass (whose rung 0
     /// rebuilds a failing book) has run. Lets the skip predicate avoid
@@ -363,7 +374,6 @@ impl<'a> MissionKernel<'a> {
             resolved_buf: Vec::new(),
             unavailable: SimDuration::ZERO,
             last_refresh: vec![SimTime::ZERO; ndev],
-            board_dirty: Vec::new(),
             codebook_suspect,
             codebook_in_loop: true,
             readback_in_loop: true,
@@ -373,7 +383,7 @@ impl<'a> MissionKernel<'a> {
         }
     }
 
-    // ---- accessors for external (strategy) drivers ----
+    // ---- accessors for the driver and the phase replay ----
 
     /// The scan-round duration (the longest live board's scan cycle).
     pub fn round(&self) -> SimDuration {
@@ -385,40 +395,14 @@ impl<'a> MissionKernel<'a> {
         self.end
     }
 
-    /// Statistics accumulated so far (final roll-up happens in `finish`).
-    pub fn stats(&self) -> &MissionStats {
-        &self.stats
-    }
-
     /// Board indices with at least one loaded FPGA, in board order — the
     /// strategy's "slot" space is an index into this slice.
     pub fn live_boards(&self) -> &[usize] {
         &self.live_boards
     }
 
-    /// Every loaded (board, fpga) position.
-    pub fn positions(&self) -> &[(usize, usize)] {
-        &self.positions
-    }
-
-    pub fn payload(&self) -> &Payload {
-        self.payload
-    }
-
     pub fn payload_mut(&mut self) -> &mut Payload {
         self.payload
-    }
-
-    /// Declare whether the driving strategy checks the CRC codebook each
-    /// pass (see [`MissionKernel::device_needs_scrub`]).
-    pub fn set_codebook_in_loop(&mut self, v: bool) {
-        self.codebook_in_loop = v;
-    }
-
-    /// Declare whether the driving strategy performs configuration
-    /// readback (see [`MissionKernel::device_needs_scrub`]).
-    pub fn set_readback_in_loop(&mut self, v: bool) {
-        self.readback_in_loop = v;
     }
 
     /// Land upsets arriving strictly before `round_end`. RNG draws happen
@@ -655,9 +639,8 @@ impl<'a> MissionKernel<'a> {
     /// Fold one board's pass outcome into the mission ledger: counter
     /// roll-up, pass-latency histogram, closing the unavailability
     /// windows of every repaired fault, and codebook-suspect clearing.
-    /// Exactly the bookkeeping the built-in `scrub_round` performs, so a
-    /// strategy that substitutes its own repair action inherits identical
-    /// accounting.
+    /// Every strategy's repair action goes through this one ledger, so
+    /// every strategy inherits identical accounting.
     pub fn apply_board_outcome(
         &mut self,
         b: usize,
@@ -788,22 +771,6 @@ impl<'a> MissionKernel<'a> {
         }
     }
 
-    /// Scrub every board (they run concurrently; the round already spans
-    /// the longest board), then settle dirty flags.
-    fn scrub_round(&mut self, now: SimTime, round_end: SimTime) {
-        for bi in 0..self.live_boards.len() {
-            let b = self.live_boards[bi];
-            // Reuse the snapshot buffer across rounds without fighting
-            // the borrow checker on `self`.
-            let mut buf = std::mem::take(&mut self.board_dirty);
-            self.fill_board_dirty(b, &mut buf);
-            let out = self.payload.scrub_board(b, now, &buf);
-            self.board_dirty = buf;
-            self.apply_board_outcome(b, &out, round_end);
-        }
-        self.settle_dirty();
-    }
-
     /// Periodic full reconfiguration: heals everything, including
     /// half-latches and other hidden state.
     pub fn periodic_refresh(&mut self, round_end: SimTime) {
@@ -837,18 +804,9 @@ impl<'a> MissionKernel<'a> {
         }
     }
 
-    /// One full scan round, exactly as the historical loop body ran it.
-    pub fn run_round(&mut self, now: SimTime, round_end: SimTime) {
-        self.land_upsets(round_end);
-        self.land_sefis(round_end);
-        self.scrub_round(now, round_end);
-        self.periodic_refresh(round_end);
-        self.stats.scrub_cycles += 1;
-    }
-
     /// Charge the scrub-cycle accounting (and telemetry) for rounds
-    /// `[r, nr)` that an event-driven driver proved to be observable-state
-    /// no-ops and is jumping over.
+    /// `[r, nr)` that the event-driven schedule proved to be
+    /// observable-state no-ops and is jumping over.
     pub fn note_rounds_skipped(&mut self, r: u64, nr: u64, round_ns: u64) {
         self.stats.scrub_cycles += (nr - r) as usize;
         self.payload.telemetry.inc("mission.rounds_skipped", nr - r);
@@ -863,7 +821,7 @@ impl<'a> MissionKernel<'a> {
         });
     }
 
-    /// Count scan rounds a strategy driver executed itself.
+    /// Count scan rounds the driver executed.
     pub fn add_scrub_cycles(&mut self, n: usize) {
         self.stats.scrub_cycles += n;
     }
@@ -877,7 +835,7 @@ impl<'a> MissionKernel<'a> {
     /// and FSM strike), and the `consecutive_failures = 0` reset the fast
     /// path performs is idempotent. Degraded devices are skipped by
     /// `scrub_board` unconditionally.
-    pub fn device_needs_scrub(&self, di: usize) -> bool {
+    fn device_needs_scrub(&self, di: usize) -> bool {
         let (b, f) = self.positions[di];
         let fpga = self.payload.fpga(b, f);
         if fpga.health.degraded {
@@ -911,12 +869,8 @@ impl<'a> MissionKernel<'a> {
         false
     }
 
-    pub fn any_device_needs_scrub(&self) -> bool {
-        (0..self.ndev).any(|di| self.device_needs_scrub(di))
-    }
-
     /// Does any device on board `b` have scrub work?
-    pub fn board_needs_scrub(&self, b: usize) -> bool {
+    fn board_needs_scrub(&self, b: usize) -> bool {
         let base = self.board_base[b];
         let nf = self.payload.boards[b].fpgas.len();
         (base..base + nf).any(|di| self.device_needs_scrub(di))
@@ -924,9 +878,9 @@ impl<'a> MissionKernel<'a> {
 
     /// The round index ≥ `r` containing the next *environment* event —
     /// upset arrival, SEFI arrival, or a periodic full-reconfig deadline —
-    /// ignoring scrub work. Strategy drivers combine this with their own
-    /// scheduling to bound how far they may jump.
-    pub fn next_event_round(&self, r: u64, round_ns: u64) -> u64 {
+    /// ignoring scrub work. The event-driven schedule combines this with
+    /// the strategy's own scheduling to bound how far it may jump.
+    fn next_event_round(&self, r: u64, round_ns: u64) -> u64 {
         let mut next = self.next_upset.as_nanos() / round_ns;
         if let Some(t) = self.next_sefi {
             next = next.min(t.as_nanos() / round_ns);
@@ -950,9 +904,12 @@ impl<'a> MissionKernel<'a> {
     /// The next round index ≥ `r` at which anything observable can happen:
     /// `r` itself while any device has scrub work, else the round
     /// containing the next upset/SEFI arrival or the round whose *end*
-    /// crosses a periodic full-reconfig deadline.
+    /// crosses a periodic full-reconfig deadline. This is the jump the
+    /// event-driven schedule takes for [`LadderStrategy`], which services
+    /// every board every round, exposed for phase-by-phase replays of
+    /// [`run_mission`].
     pub fn next_active_round(&self, r: u64, round_ns: u64) -> u64 {
-        if self.any_device_needs_scrub() {
+        if (0..self.ndev).any(|di| self.device_needs_scrub(di)) {
             return r;
         }
         self.next_event_round(r, round_ns)
@@ -1100,10 +1057,138 @@ impl<'a> MissionKernel<'a> {
     }
 }
 
-/// Run a mission with the event-driven kernel. `sensitivity` maps
-/// (board, fpga) to that design's sensitive-bit set from an SEU-simulator
-/// campaign; positions without a map treat every unmasked configuration
-/// upset as potentially sensitive (conservative).
+/// Which rounds [`drive`] visits.
+enum Schedule {
+    /// Jump between the rounds where observable state can change.
+    EventDriven,
+    /// Tick every scan round. The test oracle only: the differential
+    /// suites check [`Schedule::EventDriven`] against it, float for float.
+    EveryRound,
+}
+
+/// The mission loop: fly `strategy` over the kernel on `schedule`.
+///
+/// Retune-window boundaries at exactly round `r` fire before any
+/// scheduling decision, so a retune takes effect from round `r` on — on
+/// both schedules, at identical kernel state. Event-driven jumps are
+/// clamped to the next boundary, so boundaries are always reached exactly
+/// and observed deltas cannot straddle a retune.
+fn drive<S: MitigationStrategy + ?Sized>(
+    payload: &mut Payload,
+    cfg: &MissionConfig,
+    sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
+    strategy: &mut S,
+    schedule: Schedule,
+) -> StrategyMissionStats {
+    let mut k = MissionKernel::new(payload, cfg, sensitivity);
+    k.codebook_in_loop = strategy.uses_codebook();
+    k.readback_in_loop = strategy.uses_readback();
+    strategy.prepare(k.payload);
+
+    let round_ns = k.round.as_nanos();
+    let total_rounds = k.end.as_nanos().div_ceil(round_ns);
+    let live = k.live_boards.clone();
+    let window = strategy.window_rounds();
+
+    let mut windows_done: u64 = 0;
+    let mut last_upsets = 0usize;
+    let mut last_soh = k.payload.soh.len();
+    let mut busy_ns = 0u64;
+    let mut board_dirty: Vec<bool> = Vec::new();
+
+    let mut r: u64 = 0;
+    while r < total_rounds {
+        if let Some(w) = window {
+            while (windows_done + 1) * w <= r {
+                windows_done += 1;
+                let upsets = k.stats.upsets_total;
+                let soh = k.payload.soh.len();
+                let obs = WindowObservation {
+                    index: windows_done - 1,
+                    rounds: w,
+                    upsets: upsets - last_upsets,
+                    soh_events: soh - last_soh,
+                    round_ns,
+                };
+                last_upsets = upsets;
+                last_soh = soh;
+                strategy.on_window(&obs, &k.payload.telemetry);
+            }
+        }
+
+        if let Schedule::EventDriven = schedule {
+            // Next round where anything observable can happen: a needing
+            // board's scheduled service, an environment event, or a
+            // window boundary. Each probe runs only while the round can
+            // still be skipped: an active round stops at the first board
+            // due for service.
+            let mut nr = total_rounds;
+            for (slot, &b) in live.iter().enumerate() {
+                if nr > r && k.board_needs_scrub(b) {
+                    nr = nr.min(strategy.next_scrub_round(slot, r));
+                }
+            }
+            if nr > r {
+                nr = nr.min(k.next_event_round(r, round_ns));
+                if let Some(w) = window {
+                    nr = nr.min((windows_done + 1) * w);
+                }
+            }
+            let nr = nr.max(r);
+            if nr > r {
+                busy_ns += strategy.charge_idle_rounds(k.payload, r, nr - r);
+                k.note_rounds_skipped(r, nr, round_ns);
+                r = nr;
+                continue;
+            }
+        }
+
+        let now = SimTime(r * round_ns);
+        let round_end = SimTime((r + 1) * round_ns);
+        k.land_upsets(round_end);
+        k.land_sefis(round_end);
+        for (slot, &b) in live.iter().enumerate() {
+            if strategy.next_scrub_round(slot, r) != r {
+                continue;
+            }
+            k.fill_board_dirty(b, &mut board_dirty);
+            let out = strategy.scrub_board(k.payload, b, slot, now, &board_dirty);
+            busy_ns += out.duration.as_nanos();
+            k.apply_board_outcome(b, &out, round_end);
+        }
+        k.settle_dirty();
+        k.periodic_refresh(round_end);
+        k.add_scrub_cycles(1);
+        r += 1;
+    }
+
+    StrategyMissionStats {
+        mission: k.finish(),
+        strategy: strategy.stats(),
+        scrub_busy_ns: busy_ns,
+    }
+}
+
+/// Emit the header record naming the strategy, so a forensics pass over
+/// the dump knows which zoo member produced it. It carries nothing
+/// schedule-specific: both schedules emit the identical line.
+fn announce(payload: &Payload, name: &'static str) {
+    payload.telemetry.emit_with(|| {
+        TelemetryEvent::point(
+            Subsystem::Mission,
+            Severity::Info,
+            "strategy.mission_begin",
+            0,
+        )
+        .with_str("strategy", name)
+    });
+}
+
+/// Run a mission with the paper's fault manager ([`LadderStrategy`]) on
+/// the event-driven schedule. `sensitivity` maps (board, fpga) to that
+/// design's sensitive-bit set from an SEU-simulator campaign; positions
+/// without a map treat every unmasked configuration upset as potentially
+/// sensitive (conservative).
 ///
 /// Produces [`MissionStats`] bit-identical to [`run_mission_reference`]
 /// for any seed and configuration, in time proportional to the number of
@@ -1114,41 +1199,51 @@ pub fn run_mission(
     cfg: &MissionConfig,
     sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
 ) -> MissionStats {
-    let mut k = MissionKernel::new(payload, cfg, sensitivity);
-    let round_ns = k.round.as_nanos();
-    let total_rounds = k.end.as_nanos().div_ceil(round_ns);
-    let mut r: u64 = 0;
-    while r < total_rounds {
-        let nr = k.next_active_round(r, round_ns).min(total_rounds);
-        if nr > r {
-            // Rounds (r..nr) are observable-state no-ops: charge their
-            // scrub-cycle accounting and jump.
-            k.note_rounds_skipped(r, nr, round_ns);
-            r = nr;
-            continue;
-        }
-        let now = SimTime(r * round_ns);
-        let round_end = SimTime((r + 1) * round_ns);
-        k.run_round(now, round_end);
-        r += 1;
-    }
-    k.finish()
+    drive(
+        payload,
+        cfg,
+        sensitivity,
+        &mut LadderStrategy,
+        Schedule::EventDriven,
+    )
+    .mission
 }
 
-/// Run a mission by ticking every scan round — the original fixed-round
-/// loop, kept as the ground truth the event-driven [`run_mission`] is
-/// differentially tested against.
+/// [`run_mission`] ticking every scan round: the test oracle the
+/// event-driven schedule is differentially checked against.
 pub fn run_mission_reference(
     payload: &mut Payload,
     cfg: &MissionConfig,
     sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
 ) -> MissionStats {
-    let mut k = MissionKernel::new(payload, cfg, sensitivity);
-    let mut now = SimTime::ZERO;
-    while now < k.end {
-        let round_end = now + k.round;
-        k.run_round(now, round_end);
-        now = round_end;
-    }
-    k.finish()
+    drive(
+        payload,
+        cfg,
+        sensitivity,
+        &mut LadderStrategy,
+        Schedule::EveryRound,
+    )
+    .mission
+}
+
+/// Fly any mitigation strategy on the event-driven schedule.
+pub fn run_strategy_mission(
+    payload: &mut Payload,
+    cfg: &MissionConfig,
+    sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
+    strategy: &mut dyn MitigationStrategy,
+) -> StrategyMissionStats {
+    announce(payload, strategy.name());
+    drive(payload, cfg, sensitivity, strategy, Schedule::EventDriven)
+}
+
+/// [`run_strategy_mission`] ticking every scan round: the test oracle.
+pub fn run_strategy_mission_reference(
+    payload: &mut Payload,
+    cfg: &MissionConfig,
+    sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
+    strategy: &mut dyn MitigationStrategy,
+) -> StrategyMissionStats {
+    announce(payload, strategy.name());
+    drive(payload, cfg, sensitivity, strategy, Schedule::EveryRound)
 }

@@ -336,6 +336,18 @@ impl Payload {
             .sum()
     }
 
+    /// What [`Payload::scrub_board`] charges, in nanoseconds, when every
+    /// device on the board is clean: the fast-path scan cost of each
+    /// device still in the rotation.
+    pub fn idle_scan_ns(&self, board: usize) -> u64 {
+        self.boards[board]
+            .fpgas
+            .iter()
+            .filter(|f| !f.health.degraded)
+            .map(|f| f.manager.scan_cost(&f.device).as_nanos())
+            .sum()
+    }
+
     /// Scrub one board once at simulated time `now`: self-check the
     /// codebook, scan each FPGA, repair corrupt frames from FLASH with
     /// verify-after-write and bounded retry, and climb the escalation

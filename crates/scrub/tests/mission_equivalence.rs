@@ -1,7 +1,7 @@
-//! Differential regression: the event-driven `run_mission` kernel must
-//! produce `MissionStats` *exactly* equal (`PartialEq`, float for float)
-//! to the round-by-round `run_mission_reference` loop — for any seed and
-//! any configuration. These tests sweep seeds across the five interesting
+//! Differential regression: the mission driver's event-driven schedule
+//! (`run_mission`) must produce `MissionStats` *exactly* equal
+//! (`PartialEq`, float for float) to its every-round oracle schedule
+//! (`run_mission_reference`) — for any seed and any configuration. These tests sweep seeds across the five interesting
 //! regimes: quiet, flare, SEFI chaos, periodic full-reconfig, and a
 //! payload with a degraded device, plus ensemble determinism across
 //! thread counts.
@@ -166,7 +166,7 @@ fn assert_regime_equivalent(name: &str, cfg: &MissionConfig, damaged: bool) {
     let reference = run_mission_reference(&mut p_ref, cfg, &sens);
     assert_eq!(
         event, reference,
-        "event-driven kernel diverged from the reference loop in the \
+        "event-driven schedule diverged from the every-round oracle in the \
          {name} regime (seed {})",
         cfg.seed
     );
